@@ -48,8 +48,6 @@ pub mod engine;
 pub mod error;
 #[cfg(any(test, feature = "sched"))]
 pub mod sched;
-pub mod selector;
-mod selector_table;
 pub mod shared;
 pub mod transcript;
 pub mod translator;
@@ -78,7 +76,6 @@ pub use engine::{
     Mode, PendingCharge,
 };
 pub use error::EngineError;
-pub use selector::OperatorSelector;
 pub use shared::{EngineSession, SharedEngine};
 pub use transcript::{QueryRecord, Transcript, TranscriptEntry};
 pub use translator::{

@@ -14,7 +14,6 @@ use apex_query::{AccuracySpec, CompiledWorkload, Strategy};
 
 use crate::cache::TranslatorCache;
 use crate::engine::Mode;
-use crate::selector::OperatorSelector;
 
 /// A workload's accuracy-to-privacy translator, prepared once and reused:
 /// the strategy operator, its Monte-Carlo simulation, and the
@@ -43,13 +42,10 @@ impl PreparedTranslator {
     /// 64-bit signature collision can never hand out another workload's
     /// translator.
     ///
-    /// The build pipeline (dense reference, single-RHS operator loop, or
-    /// blocked multi-RHS operator) is picked by [`OperatorSelector`] from
-    /// bench-measured crossover points, so preparation takes the fastest
-    /// path for the workload's domain size. The choice is a pure function
-    /// of `(n, samples)` plus the `APEX_OPERATOR_PATH` override, and the
-    /// path is part of the cache key — cached and fresh prepares always
-    /// agree, and a path switch never aliases another path's artifacts.
+    /// The build is always [`SmArtifacts::build`], the blocked multi-RHS
+    /// operator pipeline: it measured fastest at every benched domain size
+    /// (docs/PERFORMANCE.md), so the dense and single-RHS pipelines
+    /// survive only as test oracles.
     ///
     /// # Errors
     /// Propagates strategy-construction failures (empty domain, bad
@@ -78,21 +74,14 @@ impl PreparedTranslator {
         cache: Option<&TranslatorCache>,
         dataset_epoch: u64,
     ) -> Result<Self, MechError> {
-        let path = OperatorSelector::choose(workload.csr().cols(), mc.samples);
         let artifacts = match cache {
-            None => Arc::new(SmArtifacts::build_with_path(
-                workload.csr(),
-                strategy,
-                mc,
-                path,
-            )?),
-            Some(cache) => SmArtifacts::get_or_build_cached_with_path(
+            None => Arc::new(SmArtifacts::build(workload.csr(), strategy, mc)?),
+            Some(cache) => SmArtifacts::get_or_build_cached(
                 &cache.handle(),
                 workload.csr(),
                 workload.signature(),
                 strategy,
                 mc,
-                path,
                 dataset_epoch,
             )?,
         };
@@ -388,14 +377,11 @@ mod tests {
     }
 
     #[test]
-    fn every_selector_path_reproduces_the_dense_reference_unit_errors() {
-        // Whatever the selector picks for a given (n, samples), the
-        // resulting translator must be statistically the same object:
-        // the two operator paths are bit-identical to each other, and all
-        // paths match the dense reference to solver tolerance, so a
-        // crossover-table update can shift timings but never a privacy
-        // decision.
-        use apex_mech::OperatorPath;
+    fn production_build_reproduces_the_dense_and_single_rhs_oracles() {
+        // Production prepare is the blocked multi-RHS pipeline. It must be
+        // bit-identical to the single-RHS oracle and match the dense pinv
+        // oracle to solver tolerance, so the kernel choice can shift
+        // timings but never a privacy decision.
         let q = prepare(&ExplorationQuery::wcq(
             (1..=16)
                 .map(|i| Predicate::range("v", 0.0, (4 * i) as f64))
@@ -405,35 +391,29 @@ mod tests {
             samples: 400,
             ..Default::default()
         };
-        let dense =
-            SmArtifacts::build_with_path(q.compiled().csr(), Strategy::H2, mc, OperatorPath::Dense)
-                .unwrap();
+        let w = q.compiled().csr();
+        let dense = SmArtifacts::build_dense_reference(w, Strategy::H2, mc).unwrap();
+        let single = SmArtifacts::build_single_rhs_reference(w, Strategy::H2, mc).unwrap();
+        let built = SmArtifacts::build(w, Strategy::H2, mc).unwrap();
         let reference = dense.translator.unit_errors();
-        for path in [
-            OperatorPath::Dense,
-            OperatorPath::HierSingle,
-            OperatorPath::HierBlocked,
-        ] {
-            let built =
-                SmArtifacts::build_with_path(q.compiled().csr(), Strategy::H2, mc, path).unwrap();
-            let errs = built.translator.unit_errors();
-            assert_eq!(errs.len(), reference.len(), "{path:?}");
-            for (a, b) in errs.iter().zip(reference) {
-                assert!(
-                    (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                    "{path:?}: {a} vs {b}"
-                );
-            }
+        let errs = built.translator.unit_errors();
+        assert_eq!(
+            errs,
+            single.translator.unit_errors(),
+            "blocked vs single-RHS"
+        );
+        assert_eq!(errs.len(), reference.len());
+        for (a, b) in errs.iter().zip(reference) {
+            assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{a} vs {b}");
         }
-        // The selected path (whatever the committed table says for this
-        // size) is one of the three above, so prepare() inherits the
-        // equivalence; check the end-to-end translation anyway.
-        let selected = PreparedTranslator::prepare(q.compiled(), Strategy::H2, mc, None).unwrap();
-        let eps = selected.translate(20.0, 0.01);
-        let eps_dense = {
-            let t = &dense.translator;
-            t.translate(20.0, 0.01)
-        };
+        // prepare() is the production build, end to end.
+        let prepared = PreparedTranslator::prepare(q.compiled(), Strategy::H2, mc, None).unwrap();
+        let eps = prepared.translate(20.0, 0.01);
+        assert_eq!(
+            eps.to_bits(),
+            built.translator.translate(20.0, 0.01).to_bits()
+        );
+        let eps_dense = dense.translator.translate(20.0, 0.01);
         assert!(
             (eps - eps_dense).abs() <= 1e-9 * eps_dense.abs().max(1.0),
             "{eps} vs {eps_dense}"

@@ -41,10 +41,9 @@
 //! `APEX_BENCH_JSON` is set, so a smoke pass can never clobber the
 //! committed full-run medians.
 
-use apex_core::OperatorSelector;
 use apex_linalg::{pinv, CsrBuilder, CsrMatrix, Matrix};
 use apex_mech::mc::{McConfig, McTranslator};
-use apex_mech::{OperatorPath, SmArtifacts};
+use apex_mech::SmArtifacts;
 use apex_query::Strategy;
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -117,10 +116,7 @@ fn bench_translator_prepare(c: &mut Criterion) {
         // blocked path is benched in `translator_prepare_multi`.
         g.bench_with_input(BenchmarkId::new("hier", n), &n, |b, _| {
             b.iter(|| {
-                black_box(
-                    SmArtifacts::build_with_path(&w, Strategy::H2, cfg, OperatorPath::HierSingle)
-                        .unwrap(),
-                )
+                black_box(SmArtifacts::build_single_rhs_reference(&w, Strategy::H2, cfg).unwrap())
             })
         });
         // The dense baseline's QR pseudoinverse is O(n³): ~seconds at
@@ -137,12 +133,10 @@ fn bench_translator_prepare(c: &mut Criterion) {
     g.finish();
 }
 
-/// The blocked multi-RHS prepare, and what the measured auto-selector
-/// actually picks per domain size. `blocked/{n}` is the acceptance number
-/// for the multi-RHS kernels; `selected/{n}` guards against crossover
-/// inversions — its median must track the fastest of the three paths,
-/// because it *is* one of them (the selection is a table lookup, so a
-/// wrong table shows up here as a slow `selected` row).
+/// The blocked multi-RHS prepare — the production `SmArtifacts::build`
+/// path. `blocked/{n}` is the acceptance number for the multi-RHS
+/// kernels; set beside `hier/{n}` and `dense/{n}` it is the measurement
+/// that retired the other two pipelines from production.
 fn bench_translator_prepare_multi(c: &mut Criterion) {
     let mut g = c.benchmark_group("translator_prepare_multi");
     g.sample_size(if quick() { 3 } else { 5 });
@@ -158,18 +152,7 @@ fn bench_translator_prepare_multi(c: &mut Criterion) {
             ..Default::default()
         };
         g.bench_with_input(BenchmarkId::new("blocked", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(
-                    SmArtifacts::build_with_path(&w, Strategy::H2, cfg, OperatorPath::HierBlocked)
-                        .unwrap(),
-                )
-            })
-        });
-        // The committed-table choice (ignoring any APEX_OPERATOR_PATH in
-        // the benching environment, so the row is reproducible).
-        let path = OperatorSelector::choose_measured(n, cfg.samples);
-        g.bench_with_input(BenchmarkId::new("selected", n), &n, |b, _| {
-            b.iter(|| black_box(SmArtifacts::build_with_path(&w, Strategy::H2, cfg, path).unwrap()))
+            b.iter(|| black_box(SmArtifacts::build(&w, Strategy::H2, cfg).unwrap()))
         });
     }
     g.finish();
@@ -430,13 +413,6 @@ fn write_json(c: &criterion::Criterion) -> std::io::Result<std::path::PathBuf> {
                 format!("{:.3}", m / 1e6),
             );
         }
-        if let Some(s) = median("translator_prepare_multi", &format!("selected/{n}")) {
-            emit(
-                &mut out,
-                format!("prepare_selected_ms_n{n}"),
-                format!("{:.3}", s / 1e6),
-            );
-        }
     }
     out.push_str("\n  }\n}\n");
     let mut f = std::fs::File::create(&path)?;
@@ -444,78 +420,10 @@ fn write_json(c: &criterion::Criterion) -> std::io::Result<std::path::PathBuf> {
     Ok(path)
 }
 
-/// Emits the measured crossover table consumed by apex-core's
-/// `OperatorSelector` (set `APEX_SELECTOR_RS` to the destination path,
-/// normally `crates/apex-core/src/selector_table.rs`, during a full run).
-/// Rows cover every domain size where both operator paths were benched;
-/// `f64::INFINITY` marks a dense median the run did not measure.
-fn write_selector_table(c: &criterion::Criterion, path: &std::path::Path) -> std::io::Result<()> {
-    let median = |group: &str, id: String| -> Option<f64> {
-        c.results()
-            .iter()
-            .find(|r| r.group == group && r.id == id)
-            .map(|r| r.median_ns)
-    };
-    let mut rows = String::new();
-    for n in [64usize, 256, 1024, 4096, 16384] {
-        let (Some(hier), Some(blocked)) = (
-            median("translator_prepare", format!("hier/{n}")),
-            median("translator_prepare_multi", format!("blocked/{n}")),
-        ) else {
-            continue;
-        };
-        let dense = median("translator_prepare", format!("dense/{n}"))
-            .map(|d| format!("{d:.1}"))
-            .unwrap_or_else(|| "f64::INFINITY".to_string());
-        rows.push_str(&format!(
-            "    MeasuredRow {{\n        n: {n},\n        samples: {},\n        dense_ns: {dense},\n        hier_ns: {hier:.1},\n        blocked_ns: {blocked:.1},\n    }},\n",
-            samples_for(n),
-        ));
-    }
-    let table = format!(
-        "//! GENERATED FILE — measured prepare medians backing [`crate::selector`].\n\
-         //!\n\
-         //! Regenerate with a full benchmark run on the target machine:\n\
-         //!\n\
-         //! ```text\n\
-         //! APEX_SELECTOR_RS=crates/apex-core/src/selector_table.rs \\\n\
-         //!     cargo bench --bench mc_translate\n\
-         //! ```\n\
-         //!\n\
-         //! Each row is one benched domain size: the `translator_prepare` groups\n\
-         //! contribute the dense and single-RHS hier medians, the\n\
-         //! `translator_prepare_multi` group the blocked median. `f64::INFINITY`\n\
-         //! marks a path not measured at that size (the dense `O(n³)` prepare is\n\
-         //! only benched on small domains); the selector never picks an unmeasured\n\
-         //! path.\n\
-         \n\
-         use crate::selector::MeasuredRow;\n\
-         \n\
-         /// Measured `translator_prepare[_multi]` medians, ascending by `n`.\n\
-         pub(crate) const MEASURED: &[MeasuredRow] = &[\n{rows}];\n"
-    );
-    std::fs::write(path, table)
-}
-
 fn main() {
     let mut c = criterion::Criterion::default();
     benches(&mut c);
     c.final_summary();
-    if let Ok(path) = std::env::var("APEX_SELECTOR_RS") {
-        // Anchor relative destinations at the workspace root: cargo runs
-        // bench binaries with the package directory as CWD, so a path
-        // like `crates/apex-core/...` would otherwise silently miss.
-        let mut dest = std::path::PathBuf::from(&path);
-        if dest.is_relative() {
-            dest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(dest);
-        }
-        match write_selector_table(&c, &dest) {
-            Ok(()) => println!("wrote {}", dest.display()),
-            Err(e) => eprintln!("could not write {}: {e}", dest.display()),
-        }
-    }
     // A quick (smoke) pass measures a subset; rewriting the committed
     // full-run medians with it would silently rot the file. Only write
     // when the caller explicitly redirects the output.

@@ -13,7 +13,8 @@
 //! * `full_k<k>/<n>` — what the same batch costs without the tentpole:
 //!   re-ingest all `n + k` rows into a fresh store, recompile the
 //!   workload, re-prepare the translator artifacts
-//!   (`SmArtifacts::build_with_path`, the strategy-mechanism prepare),
+//!   (`SmArtifacts::build_single_rhs_reference`, the single-RHS
+//!   strategy-mechanism prepare the committed baseline was taken with),
 //!   and rescan for histogram + answers.
 //!
 //! Medians land in `BENCH_mutate.json` in the shape `bench_gate` parses;
@@ -29,7 +30,7 @@ use std::time::Instant;
 use apex_bench::json_escape as esc;
 use apex_data::{Attribute, Dataset, Domain, Predicate, Schema, Value};
 use apex_mech::mc::McConfig;
-use apex_mech::{OperatorPath, SmArtifacts};
+use apex_mech::SmArtifacts;
 use apex_query::{CompiledWorkload, Strategy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -210,13 +211,8 @@ fn bench_pair(n: usize, k: usize, samples: usize) -> (BenchResult, BenchResult) 
                     .ingest_paged(&full_dir, epoch, 64)
                     .expect("ingest");
                 let fw = CompiledWorkload::compile(&schema, &workload).expect("compile");
-                let prepared = SmArtifacts::build_with_path(
-                    fw.csr(),
-                    Strategy::H2,
-                    mc,
-                    OperatorPath::HierSingle,
-                )
-                .expect("prepare");
+                let prepared = SmArtifacts::build_single_rhs_reference(fw.csr(), Strategy::H2, mc)
+                    .expect("prepare");
                 let fh = fw.histogram(&rebuilt);
                 let fa = fw.true_answer(&rebuilt);
                 let ns = t0.elapsed().as_nanos() as u64;

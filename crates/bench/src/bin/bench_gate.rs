@@ -524,9 +524,7 @@ mod tests {
                 ("translator_prepare", "dense/64"),
                 ("translator_prepare", "hier/256"),
                 ("translator_prepare_multi", "blocked/64"),
-                ("translator_prepare_multi", "selected/64"),
                 ("translator_prepare_multi", "blocked/256"),
-                ("translator_prepare_multi", "selected/256"),
                 ("mc_translate_domain", "serial/64"),
                 ("mc_translate_domain", "batched/64"),
                 ("mc_translate_domain", "cached/64"),

@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 
 use apex_query::Strategy;
 
-use crate::sm::{OperatorPath, SmArtifacts};
+use crate::sm::SmArtifacts;
 use crate::MechError;
 
 /// Cache key: everything the artifacts depend on.
@@ -64,10 +64,6 @@ pub struct SmCacheKey {
     /// it** — a post-mutation lookup is a provable cache miss (the
     /// epoch-staleness tests assert this through the miss counters).
     pub dataset_epoch: u64,
-    /// Which prepare pipeline built the artifacts. The operator paths are
-    /// bit-identical to each other but the dense reference rounds
-    /// differently, so artifacts from different paths must never alias.
-    pub path: OperatorPath,
 }
 
 /// Running hit/miss/eviction counters.
@@ -288,7 +284,6 @@ mod tests {
             seed: 1,
             tolerance_bits: 1e-3_f64.to_bits(),
             dataset_epoch: 0,
-            path: OperatorPath::HierBlocked,
         }
     }
 

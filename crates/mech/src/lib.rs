@@ -41,7 +41,7 @@ pub use mpm::MultiPokingMechanism;
 pub use prepared::PreparedQuery;
 pub use registry::{mechanisms_for, mechanisms_for_cached, mechanisms_for_cached_at_epoch};
 pub use relax::relax_laplace;
-pub use sm::{OperatorPath, ReconBackend, SmArtifacts, StrategyMechanism};
+pub use sm::{ReconBackend, SmArtifacts, StrategyMechanism};
 pub use traits::{MechError, MechOutput, Mechanism, Translation};
 
 /// Numerical floor for translated privacy costs: extremely loose accuracy

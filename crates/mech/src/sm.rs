@@ -13,27 +13,6 @@ use crate::mc::{McConfig, McTranslator};
 use crate::traits::unsupported;
 use crate::{Laplace, MechError, MechOutput, Mechanism, PreparedQuery, Translation};
 
-/// Which prepare pipeline builds a query's [`SmArtifacts`].
-///
-/// All three produce translators drawing the same per-sample noise
-/// streams: the two operator paths are bit-identical to each other, and
-/// the dense reference differs only in floating-point summation order
-/// (≈1e-9 relative). The fastest path depends on the domain size — see
-/// `apex-core`'s `OperatorSelector`, which picks per `(n, mc_samples)`
-/// from bench-measured crossovers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OperatorPath {
-    /// The dense reference pipeline: `O(n³)` QR pseudoinverse,
-    /// materialized `W A⁺`, batched dense Monte-Carlo. Fastest only for
-    /// small domains, where the cubic prepare is cheap and dense products
-    /// beat the tree walk.
-    Dense,
-    /// Matrix-free operator with the legacy single-RHS per-sample loop.
-    HierSingle,
-    /// Matrix-free operator with blocked multi-RHS panels (the default).
-    HierBlocked,
-}
-
 /// How the artifacts answer the strategy and reconstruct workload
 /// answers.
 #[derive(Debug)]
@@ -125,39 +104,28 @@ impl SmArtifacts {
         })
     }
 
-    /// Builds artifacts through an explicit [`OperatorPath`] — the entry
-    /// point of `apex-core`'s measured path selection (and of the
-    /// benchmark rows that keep each path measurable in isolation).
+    /// Builds operator-backed artifacts whose Monte-Carlo simulation runs
+    /// the legacy single-RHS per-sample loop — bit-identical to
+    /// [`SmArtifacts::build`] (the blocked multi-RHS panels), kept as the
+    /// reference the blocked kernels are tested and benched against.
     ///
     /// # Errors
-    /// Propagates strategy-construction (and, on the dense path,
-    /// pseudoinverse) failures.
-    pub fn build_with_path(
+    /// Propagates strategy-construction failures.
+    pub fn build_single_rhs_reference(
         workload: &CsrMatrix,
         strategy: Strategy,
         mc: McConfig,
-        path: OperatorPath,
     ) -> Result<Self, MechError> {
-        match path {
-            OperatorPath::Dense => Self::build_dense_reference(workload, strategy, mc),
-            OperatorPath::HierBlocked => Self::build(workload, strategy, mc),
-            OperatorPath::HierSingle => {
-                let op = strategy.operator(workload.cols())?;
-                let strat_sensitivity = op.l1_operator_norm();
-                let translator = McTranslator::with_operator_single_rhs(
-                    workload,
-                    op.as_ref(),
-                    strat_sensitivity,
-                    mc,
-                );
-                Ok(SmArtifacts {
-                    workload: workload.clone(),
-                    strat_sensitivity,
-                    translator,
-                    backend: ReconBackend::Operator(op),
-                })
-            }
-        }
+        let op = strategy.operator(workload.cols())?;
+        let strat_sensitivity = op.l1_operator_norm();
+        let translator =
+            McTranslator::with_operator_single_rhs(workload, op.as_ref(), strat_sensitivity, mc);
+        Ok(SmArtifacts {
+            workload: workload.clone(),
+            strat_sensitivity,
+            translator,
+            backend: ReconBackend::Operator(op),
+        })
     }
 
     /// Operator-backed artifacts through a cache, with the
@@ -173,32 +141,6 @@ impl SmArtifacts {
     /// collision the artifacts are rebuilt uncached rather than answering
     /// with another workload's reconstruction.
     ///
-    /// # Errors
-    /// Propagates build failures.
-    pub fn get_or_build_cached(
-        cache: &SmCache,
-        workload: &CsrMatrix,
-        signature: u64,
-        strategy: Strategy,
-        mc: McConfig,
-    ) -> Result<Arc<Self>, MechError> {
-        Self::get_or_build_cached_with_path(
-            cache,
-            workload,
-            signature,
-            strategy,
-            mc,
-            OperatorPath::HierBlocked,
-            0,
-        )
-    }
-
-    /// [`SmArtifacts::get_or_build_cached`] through an explicit
-    /// [`OperatorPath`]. The path is part of the cache key: the two
-    /// operator paths produce bit-identical translators, but the dense
-    /// reference differs in low-order floating-point bits, and a path
-    /// switch (e.g. a changed `APEX_OPERATOR_PATH` override) must never
-    /// hand back artifacts built by a differently-rounding pipeline.
     /// `mc.sample_block` is deliberately **not** in the key — panel width
     /// cannot change results. `dataset_epoch` **is**: a mutation to the
     /// served dataset bumps its epoch, and any artifact resolved against
@@ -207,14 +149,12 @@ impl SmArtifacts {
     ///
     /// # Errors
     /// Propagates build failures.
-    #[allow(clippy::too_many_arguments)]
-    pub fn get_or_build_cached_with_path(
+    pub fn get_or_build_cached(
         cache: &SmCache,
         workload: &CsrMatrix,
         signature: u64,
         strategy: Strategy,
         mc: McConfig,
-        path: OperatorPath,
         dataset_epoch: u64,
     ) -> Result<Arc<Self>, MechError> {
         let key = SmCacheKey {
@@ -224,16 +164,12 @@ impl SmArtifacts {
             seed: mc.seed,
             tolerance_bits: mc.tolerance.to_bits(),
             dataset_epoch,
-            path,
         };
-        let art =
-            cache.get_or_build(key, || Self::build_with_path(workload, strategy, mc, path))?;
+        let art = cache.get_or_build(key, || Self::build(workload, strategy, mc))?;
         if art.workload == *workload {
             Ok(art)
         } else {
-            Ok(Arc::new(Self::build_with_path(
-                workload, strategy, mc, path,
-            )?))
+            Ok(Arc::new(Self::build(workload, strategy, mc)?))
         }
     }
 
@@ -374,13 +310,12 @@ impl StrategyMechanism {
             None => Ok(Arc::new(self.build_artifacts(q)?)),
             // Cached construction is always the operator path
             // (`new_dense_reference` never carries a cache).
-            Some(cache) => SmArtifacts::get_or_build_cached_with_path(
+            Some(cache) => SmArtifacts::get_or_build_cached(
                 cache,
                 q.compiled().csr(),
                 q.compiled().signature(),
                 self.strategy,
                 self.mc,
-                OperatorPath::HierBlocked,
                 self.dataset_epoch,
             ),
         }
@@ -671,7 +606,6 @@ mod tests {
             seed: small_mc().seed,
             tolerance_bits: small_mc().tolerance.to_bits(),
             dataset_epoch: 0,
-            path: OperatorPath::HierBlocked,
         };
         cache
             .get_or_build(poisoned_key, || {

@@ -4,16 +4,17 @@
 //! The ROADMAP's multi-tenant north star needs a front end: analysts
 //! open **sessions** against registered datasets, each session holding a
 //! slice of that dataset's privacy budget, and submit exploration
-//! queries in the paper's concrete syntax. The service is std-only — a
-//! hand-rolled HTTP server over `std::net` with a fixed thread pool
-//! ([`http`]), a zero-dependency JSON module ([`json`]), and no async
-//! runtime — consistent with the repo's offline vendored-shim policy.
+//! queries in the paper's concrete syntax. The service is std-only — one
+//! hand-rolled HTTP/1.1 server over `std::net`, the sharded event loop
+//! of [`shard::serve_sharded`], a zero-dependency JSON module
+//! ([`json`]), and no async runtime — consistent with the repo's offline
+//! vendored-shim policy.
 //!
 //! Layering:
 //!
 //! * [`json`] — JSON values, parsing, rendering;
-//! * [`http`] — the socket layer: request parsing, thread pool, graceful
-//!   shutdown;
+//! * [`http`] — the HTTP/1.1 codec: incremental request parsing,
+//!   response serialization, the panic → 500 mapping;
 //! * [`wire`] — bodies ↔ engine types ([`apex_query::ExplorationQuery`],
 //!   [`apex_core::EngineResponse`], …);
 //! * [`wal`] — the write-ahead log: length-prefixed, checksummed records
@@ -27,15 +28,17 @@
 //!   one shared translator cache with per-tenant stat scopes), live
 //!   sessions (budget slices with idle TTLs), WAL-over-snapshot
 //!   recovery, and the TTL reaper;
-//! * [`router`] — endpoint dispatch and status-code mapping (a *denied*
-//!   query is 409, an *expired* session is 410, the admin plane checks a
-//!   bearer token);
+//! * [`router`] — shard-scoped endpoint dispatch and status-code mapping
+//!   (a *denied* query is 409, an *expired* session is 410, the admin
+//!   plane checks a bearer token);
 //! * [`shard`] — the shard layer: N shard workers each owning its own
 //!   engines, ledger gate, WAL sequence, and `state-dir/shard-K/`
 //!   directory; tenants routed by consistent hashing; a nonblocking
 //!   accept/dispatch loop with bounded per-shard queues (full ⇒ 503 +
-//!   `Retry-After`); parallel per-shard recovery at boot; aggregated
-//!   `/v1/stats`;
+//!   `Retry-After`); parallel per-shard recovery at boot; the cross-shard
+//!   endpoints (`/healthz`, the one `/v1/stats` builder, the admin list
+//!   and shutdown) — the only server; a one-shard set is the default
+//!   deployment;
 //! * [`selftest`] — the end-to-end gate CI runs (`--self-test`): a
 //!   scripted concurrent workload over real sockets asserting budget
 //!   conservation, protocol discipline, cross-session cache sharing, and
@@ -74,7 +77,7 @@ pub mod wal;
 pub mod wire;
 
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use http::{serve, Request, Response, ServerHandle};
+pub use http::{Request, Response};
 pub use json::Json;
 pub use selftest::{run as run_self_test, SelfTestConfig, SelfTestReport};
 pub use shard::{serve_sharded, ServeConfig, ShardRing, ShardServerHandle, ShardSet};

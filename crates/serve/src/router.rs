@@ -1,17 +1,18 @@
-//! Endpoint dispatch: path + method → handler.
+//! Endpoint dispatch for the shard-scoped endpoints: path + method →
+//! handler, against one shard's state.
 //!
 //! | Endpoint                              | Meaning                                  |
 //! |---------------------------------------|------------------------------------------|
-//! | `GET  /healthz`                       | liveness                                 |
 //! | `POST /v1/sessions`                   | open a session (dataset + budget slice)  |
 //! | `POST /v1/sessions/{id}/query`        | submit a query (200 answered, 409 denied)|
 //! | `GET  /v1/sessions/{id}/budget`       | session + engine budget state            |
 //! | `POST /v1/sessions/{id}/close`        | close a session, reclaim its remainder   |
-//! | `GET  /v1/stats`                      | cache counters (global + per dataset)    |
 //! | `POST /v1/datasets/{name}/rows`       | admin: insert/delete rows (live dataset) |
-//! | `GET  /v1/admin/sessions`             | admin: list live sessions                |
 //! | `POST /v1/admin/sessions/{id}/expire` | admin: force-expire a session            |
-//! | `POST /v1/admin/shutdown`             | admin: begin graceful shutdown           |
+//!
+//! The cross-shard endpoints (`/healthz`, `/v1/stats`,
+//! `/v1/admin/sessions`, `/v1/admin/shutdown`) are answered by the shard
+//! layer's event loop (`shard::route_global`), never routed here.
 //!
 //! Status mapping: malformed bodies and engine-rejected queries (unknown
 //! attributes, empty workloads) are 400; unknown datasets/sessions 404;
@@ -45,7 +46,6 @@ use crate::wire;
 pub fn route(state: &Arc<ServerState>, req: &Request) -> Response {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match segments.as_slice() {
-        ["healthz"] => method(req, "GET", || healthz(state)),
         ["v1", "sessions"] => method(req, "POST", || create_session(state, req)),
         ["v1", "sessions", id, "query"] => {
             with_session_id(id, |id| method(req, "POST", || submit(state, id, req)))
@@ -56,7 +56,6 @@ pub fn route(state: &Arc<ServerState>, req: &Request) -> Response {
         ["v1", "sessions", id, "close"] => {
             with_session_id(id, |id| method(req, "POST", || close_session(state, id)))
         }
-        ["v1", "stats"] => method(req, "GET", || stats(state)),
         ["v1", "datasets", name, "rows"] => match admin_auth(state, req) {
             Ok(()) => method(req, "POST", || mutate(state, name, req)),
             Err(resp) => resp,
@@ -72,8 +71,6 @@ pub fn route(state: &Arc<ServerState>, req: &Request) -> Response {
 /// Admin sub-router (auth already checked).
 fn admin(state: &Arc<ServerState>, req: &Request, segments: &[&str]) -> Response {
     match segments {
-        ["shutdown"] => method(req, "POST", shutdown),
-        ["sessions"] => method(req, "GET", || admin_sessions(state)),
         ["sessions", id, "expire"] => {
             with_session_id(id, |id| method(req, "POST", || admin_expire(state, id)))
         }
@@ -83,7 +80,7 @@ fn admin(state: &Arc<ServerState>, req: &Request, segments: &[&str]) -> Response
 
 /// Checks the bearer token when one is configured. Constant-time
 /// comparison: the verdict leaks nothing about how much of the token
-/// matched. `pub(crate)` so the shard layer can guard its aggregated
+/// matched. `pub(crate)` so the shard layer can guard its cross-shard
 /// admin endpoints with the same rule.
 pub(crate) fn admin_auth(state: &ServerState, req: &Request) -> Result<(), Response> {
     let Some(expected) = state.admin_token() else {
@@ -133,23 +130,21 @@ fn parse_body(req: &Request) -> Result<Json, Response> {
     crate::json::parse(text).map_err(|e| Response::json(400, wire::error_json(&e.to_string())))
 }
 
-fn healthz(state: &ServerState) -> Response {
-    let body = Json::obj(vec![
-        ("status", Json::from("ok")),
-        ("datasets", Json::from(state.tenants().len())),
-        ("sessions", Json::from(state.session_count())),
-    ]);
-    Response::json(200, body.render())
+/// Decodes a create-session body — the one decoder both the shard
+/// layer's tenant routing and [`create_session`] use, so the shard a
+/// session opens on is always the ring owner of the dataset it charges.
+///
+/// # Errors
+/// The 400 response for a non-UTF-8, non-JSON, or invalid body.
+pub(crate) fn create_session_body(req: &Request) -> Result<wire::CreateSession, Response> {
+    wire::parse_create_session(&parse_body(req)?)
+        .map_err(|msg| Response::json(400, wire::error_json(&msg)))
 }
 
 fn create_session(state: &ServerState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(resp) => return resp,
-    };
-    let create = match wire::parse_create_session(&body) {
+    let create = match create_session_body(req) {
         Ok(c) => c,
-        Err(msg) => return Response::json(400, wire::error_json(&msg)),
+        Err(resp) => return resp,
     };
     let id = match state.create_session(&create.dataset, create.budget) {
         Ok(Some(id)) => id,
@@ -282,72 +277,6 @@ fn budget(state: &ServerState, id: u64) -> Response {
     Response::json(200, body.render())
 }
 
-fn stats(state: &ServerState) -> Response {
-    let mut datasets = Vec::new();
-    for (name, tenant) in state.tenants() {
-        let ledger = tenant.engine.export_ledger();
-        datasets.push((
-            name.clone(),
-            Json::obj(vec![
-                ("cache", wire::cache_stats_json(tenant.cache.local_stats())),
-                (
-                    "budget",
-                    Json::obj(vec![
-                        ("budget", Json::Num(ledger.budget)),
-                        ("spent", Json::Num(ledger.spent)),
-                        ("remaining", Json::Num(tenant.engine.remaining())),
-                        ("reclaimed", Json::Num(tenant.reclaimed())),
-                    ]),
-                ),
-                (
-                    "transcript",
-                    Json::obj(vec![
-                        ("answered", Json::from(ledger.answered)),
-                        ("denied", Json::from(ledger.denied)),
-                    ]),
-                ),
-                ("sessions", Json::from(state.session_count_for(name))),
-                ("epoch", Json::from(tenant.engine.epoch())),
-                (
-                    "mutations_applied",
-                    Json::from(tenant.engine.mutations_applied()),
-                ),
-            ]),
-        ));
-    }
-    let body = Json::obj(vec![
-        ("sessions", Json::from(state.session_count())),
-        ("expired", Json::from(state.expired_count())),
-        (
-            "cache",
-            Json::obj(vec![
-                ("capacity", Json::from(state.cache().capacity())),
-                ("entries", Json::from(state.cache().len())),
-                ("global", wire::cache_stats_json(state.cache().stats())),
-            ]),
-        ),
-        ("datasets", Json::Obj(datasets)),
-    ]);
-    Response::json(200, body.render())
-}
-
-fn admin_sessions(state: &ServerState) -> Response {
-    let sessions = state
-        .list_sessions()
-        .into_iter()
-        .map(wire::session_info_json)
-        .collect();
-    let body = Json::obj(vec![
-        ("sessions", Json::Arr(sessions)),
-        ("expired", Json::from(state.expired_count())),
-        (
-            "ttl_millis",
-            state.ttl_millis().map(Json::from).unwrap_or(Json::Null),
-        ),
-    ]);
-    Response::json(200, body.render())
-}
-
 fn admin_expire(state: &ServerState, id: u64) -> Response {
     close_session(state, id)
 }
@@ -370,15 +299,6 @@ fn close_session(state: &ServerState, id: u64) -> Response {
         },
         Err(e) => wal_failed(&e),
     }
-}
-
-fn shutdown() -> Response {
-    let mut resp = Response::json(
-        202,
-        Json::obj(vec![("status", Json::from("shutting down"))]).render(),
-    );
-    resp.shutdown = true;
-    resp
 }
 
 #[cfg(test)]
@@ -436,9 +356,6 @@ mod tests {
     #[test]
     fn full_session_lifecycle_over_the_router() {
         let s = state();
-        let r = route(&s, &req("GET", "/healthz", ""));
-        assert_eq!(r.status, 200);
-
         let id = open_session(&s, r#"{"dataset":"demo","budget":0.8}"#);
 
         let q = r#"{"query":"BIN demo ON COUNT(*) WHERE W = { v IN [0, 4), v IN [4, 8) } ERROR 8 CONFIDENCE 0.95;"}"#;
@@ -464,18 +381,10 @@ mod tests {
         let spent = parsed.get("spent").and_then(Json::as_f64).unwrap();
         assert!(spent > 0.0);
 
-        let r = route(&s, &req("GET", "/v1/stats", ""));
-        assert_eq!(r.status, 200);
-        let parsed = crate::json::parse(&r.body).unwrap();
-        assert!(
-            parsed
-                .get("cache")
-                .and_then(|c| c.get("global"))
-                .and_then(|g| g.get("misses"))
-                .and_then(Json::as_u64)
-                .unwrap()
-                > 0
-        );
+        let r = route(&s, &req("POST", &format!("/v1/sessions/{id}/close"), ""));
+        assert_eq!(r.status, 200, "{}", r.body);
+        // Cross-shard endpoints are not served here.
+        assert_eq!(route(&s, &req("GET", "/v1/stats", "")).status, 404);
     }
 
     #[test]
@@ -559,17 +468,9 @@ mod tests {
         // A never-issued id still 404s.
         let r = route(&s, &req("GET", "/v1/sessions/12345/budget", ""));
         assert_eq!(r.status, 404);
-        // Stats surface the tombstone and the reclaimed slice.
-        let r = route(&s, &req("GET", "/v1/stats", ""));
-        let parsed = crate::json::parse(&r.body).unwrap();
-        assert_eq!(parsed.get("expired").and_then(Json::as_u64), Some(1));
-        let reclaimed = parsed
-            .get("datasets")
-            .and_then(|d| d.get("demo"))
-            .and_then(|d| d.get("budget"))
-            .and_then(|b| b.get("reclaimed"))
-            .and_then(Json::as_f64)
-            .unwrap();
+        // The whole slice came back: nothing was spent.
+        assert_eq!(s.expired_count(), 1);
+        let reclaimed = s.tenant("demo").unwrap().reclaimed();
         assert!((reclaimed - 0.5).abs() < 1e-12, "nothing was spent");
     }
 
@@ -583,29 +484,16 @@ mod tests {
         );
         let id = open_session(&s, r#"{"dataset":"demo","budget":0.5}"#);
 
-        // No token / wrong token: 401 on every admin endpoint.
-        for (method_, path) in [
-            ("GET", "/v1/admin/sessions".to_string()),
-            ("POST", format!("/v1/admin/sessions/{id}/expire")),
-            ("POST", "/v1/admin/shutdown".to_string()),
-        ] {
-            assert_eq!(route(&s, &req(method_, &path, "")).status, 401);
-            assert_eq!(
-                route(&s, &req_auth(method_, &path, "", "wrong")).status,
-                401
-            );
-        }
+        // No token / wrong token: 401 on the shard-scoped admin endpoint
+        // (the cross-shard ones are tested in the shard layer).
+        let path = format!("/v1/admin/sessions/{id}/expire");
+        assert_eq!(route(&s, &req("POST", &path, "")).status, 401);
+        assert_eq!(route(&s, &req_auth("POST", &path, "", "wrong")).status, 401);
         // Non-admin endpoints are untouched by the token requirement.
-        assert_eq!(route(&s, &req("GET", "/healthz", "")).status, 200);
-
-        // With the token: list shows the session, expire releases it.
-        let r = route(&s, &req_auth("GET", "/v1/admin/sessions", "", "s3cret"));
+        let r = route(&s, &req("GET", &format!("/v1/sessions/{id}/budget"), ""));
         assert_eq!(r.status, 200, "{}", r.body);
-        let parsed = crate::json::parse(&r.body).unwrap();
-        let listed = parsed.get("sessions").and_then(Json::as_arr).unwrap();
-        assert_eq!(listed.len(), 1);
-        assert_eq!(listed[0].get("session").and_then(Json::as_u64), Some(id));
 
+        // With the token: expire releases the session.
         let r = route(
             &s,
             &req_auth(
@@ -680,14 +568,8 @@ mod tests {
         let parsed = crate::json::parse(&r.body).unwrap();
         assert_eq!(parsed.get("deleted").and_then(Json::as_u64), Some(2));
         assert_eq!(parsed.get("epoch").and_then(Json::as_u64), Some(2));
-
-        // Stats surface the per-tenant epoch and mutation count.
-        let r = route(&s, &req("GET", "/v1/stats", ""));
-        let parsed = crate::json::parse(&r.body).unwrap();
-        let demo = parsed.get("datasets").and_then(|d| d.get("demo")).unwrap();
-        assert_eq!(demo.get("epoch").and_then(Json::as_u64), Some(2));
         assert_eq!(
-            demo.get("mutations_applied").and_then(Json::as_u64),
+            parsed.get("mutations_applied").and_then(Json::as_u64),
             Some(2)
         );
     }
@@ -782,13 +664,5 @@ mod tests {
             &req_auth("POST", "/v1/datasets/demo/rows", body, "s3cret"),
         );
         assert_eq!(r.status, 200, "{}", r.body);
-    }
-
-    #[test]
-    fn shutdown_endpoint_flags_the_response() {
-        let s = state();
-        let r = route(&s, &req("POST", "/v1/admin/shutdown", ""));
-        assert_eq!(r.status, 202);
-        assert!(r.shutdown);
     }
 }

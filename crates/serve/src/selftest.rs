@@ -133,8 +133,8 @@ pub struct SelfTestReport {
     /// Per-dataset `(name, spent, budget)` at the end.
     pub budgets: Vec<(String, f64, f64)>,
     /// Per-tenant `(name, millis)` cold translator-prepare timings for a
-    /// representative workload, through the same auto-selected operator
-    /// path production takes. Observability only — printed, never
+    /// representative workload, through the same blocked prepare
+    /// production takes. Observability only — printed, never
     /// asserted on (machine speed is not an invariant).
     pub prepare_ms: Vec<(String, f64)>,
     /// Whether the run started from a non-empty recovered ledger (the

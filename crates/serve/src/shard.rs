@@ -4,14 +4,14 @@
 //! name — adding a shard moves only ~1/(N+1) of tenants, so a resharded
 //! deployment migrates a bounded slice of state instead of all of it.
 //!
-//! The fixed thread-per-connection pool is replaced by a nonblocking
-//! accept/dispatch loop: one event thread accepts connections, reads
-//! just enough of each request to extract the routing key (the tenant
-//! name for `POST /v1/sessions`, the shard bits of the session id for
-//! everything session-scoped), then hands the connection to the owning
-//! shard's **bounded** work queue. A full queue sheds the request with
-//! `503` + `Retry-After` — backpressure is explicit, never unbounded
-//! memory. Responses default to HTTP keep-alive: after a shard worker
+//! [`serve_sharded`] is the server: a nonblocking accept/dispatch loop.
+//! One event thread accepts connections, parses each request, decodes
+//! the routing key (the tenant name of a `POST /v1/sessions` body —
+//! through the same decoder the router uses — and the shard bits of the
+//! session id for everything session-scoped), then hands the connection
+//! to the owning shard's **bounded** work queue. A full queue sheds the
+//! request with `503` + `Retry-After` — backpressure is explicit, never
+//! unbounded memory. Responses default to HTTP keep-alive: after a shard worker
 //! writes its response, the connection migrates back to the event loop
 //! and its next request may route to a *different* shard, so one client
 //! connection can reach every shard.
@@ -837,12 +837,7 @@ fn shard_worker(
         loop {
             let Work { mut conn, req } = work;
             served += 1;
-            let resp = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                router::route(state, &req)
-            })) {
-                Ok(resp) => resp,
-                Err(_) => Response::json(500, "{\"error\":\"internal error\"}".into()),
-            };
+            let resp = http::catch_panic(|| router::route(state, &req));
             if resp.shutdown {
                 stop.store(true, Ordering::SeqCst);
             }
@@ -918,32 +913,19 @@ enum Target {
     Reply(Response),
 }
 
-/// Pulls `"dataset":"…"` out of a create-session body without a full
-/// JSON parse — routing only; the owning shard's router re-parses and
-/// validates properly.
-fn extract_dataset(body: &str) -> Option<String> {
-    let at = body.find("\"dataset\"")?;
-    let rest = &body[at + "\"dataset\"".len()..];
-    let colon = rest.find(':')?;
-    let rest = rest[colon + 1..].trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
 fn target_for(set: &ShardSet, req: &Request) -> Target {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match segments.as_slice() {
-        ["v1", "sessions"] => {
-            // Tenant-routed; a body the router would reject goes to
-            // shard 0 for the proper 400/404/405.
-            let shard = req
-                .body_str()
-                .and_then(extract_dataset)
-                .map(|d| set.ring().shard_for(&d))
-                .unwrap_or(0);
-            Target::Shard(shard)
-        }
+        // Tenant-routed on the decoded body: the shard that opens the
+        // session must be the ring owner of the dataset the router will
+        // charge, so both read the dataset through one decoder. A body
+        // the router would reject is answered here.
+        ["v1", "sessions"] if req.method == "POST" => match router::create_session_body(req) {
+            Ok(create) => Target::Shard(set.ring().shard_for(&create.dataset)),
+            Err(resp) => Target::Reply(resp),
+        },
+        // Router answers 405.
+        ["v1", "sessions"] => Target::Shard(0),
         // Row mutations go to the shard that owns the dataset's engine —
         // the same ring decision that routes its sessions, so mutations
         // and the queries they race serialize on one engine worker.
@@ -1710,19 +1692,26 @@ mod tests {
         );
         let slow_body = format!("{{\"query\":{}}}", Json::from(slow).render());
         let got_503 = std::thread::scope(|scope| {
-            let slow_client = scope.spawn(|| {
-                client::request(
+            let slow_client = scope.spawn(|| loop {
+                // A probe may hold the worker when this dispatches; a 503
+                // is the retry signal, exactly as for any client.
+                let resp = client::request(
                     addr,
                     "POST",
                     &format!("/v1/sessions/{id}/query"),
                     Some(&slow_body),
-                )
+                );
+                if !matches!(resp, Ok((503, _))) {
+                    break resp;
+                }
             });
-            std::thread::sleep(Duration::from_millis(40));
             // …so concurrent requests to the same shard shed with 503 +
             // Retry-After (raw socket: the header must be on the wire).
+            // Probe for as long as the slow query is in flight: on a fast
+            // host its busy window is a few milliseconds, so a fixed
+            // head start could overshoot it entirely.
             let mut got = false;
-            for _ in 0..50 {
+            while !got && !slow_client.is_finished() {
                 let mut s = TcpStream::connect(addr).unwrap();
                 s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
                 s.write_all(
@@ -1738,11 +1727,11 @@ mod tests {
                 if out.starts_with("HTTP/1.1 503") {
                     assert!(out.contains("Retry-After: 1"), "{out}");
                     got = true;
-                    break;
+                } else {
+                    // Served before or after the slow query held the
+                    // worker; 200 is the only other legal outcome.
+                    assert!(out.starts_with("HTTP/1.1 200"), "{out}");
                 }
-                // The slow query may have finished already on a fast
-                // machine; 200 is the only other legal outcome.
-                assert!(out.starts_with("HTTP/1.1 200"), "{out}");
             }
             let (slow_status, _) = slow_client.join().unwrap().unwrap();
             assert!(
@@ -1768,6 +1757,256 @@ mod tests {
             client::request(addr, "GET", &format!("/v1/sessions/{id}/budget"), None).unwrap();
         assert_eq!(status, 200, "a drained shard must admit the next request");
 
+        handle.stop();
+        handle.join();
+    }
+
+    /// One shard serving `demo` (8 values), optionally behind an admin
+    /// token — the single-shard deployment the binary defaults to.
+    fn one_shard(token: Option<&str>) -> Arc<ShardSet> {
+        let cache = TranslatorCache::with_capacity(16);
+        Arc::new(ShardSet::build(1, |_| {
+            let b = ServerState::builder_with_cache(cache.clone()).dataset(
+                "demo",
+                tiny_dataset(8),
+                EngineConfig::default(),
+            );
+            match token {
+                Some(t) => b.admin_token(t),
+                None => b,
+            }
+        }))
+    }
+
+    fn global(set: &ShardSet, method: &str, path: &str, token: Option<&str>) -> Response {
+        let mut req = Request::new(method, path, "");
+        if let Some(t) = token {
+            req.headers
+                .push(("authorization".into(), format!("Bearer {t}")));
+        }
+        route_global(set, &req)
+    }
+
+    fn keys(j: &Json) -> Vec<&str> {
+        match j {
+            Json::Obj(entries) => entries.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    fn open(set: &ShardSet, body: &str) -> u64 {
+        let r = router::route(set.state(0), &Request::new("POST", "/v1/sessions", body));
+        assert_eq!(r.status, 201, "{}", r.body);
+        crate::json::parse(&r.body)
+            .unwrap()
+            .get("session")
+            .and_then(Json::as_u64)
+            .unwrap()
+    }
+
+    #[test]
+    fn global_endpoints_serve_a_one_shard_set() {
+        let set = one_shard(None);
+        let r = global(&set, "GET", "/healthz", None);
+        assert_eq!(r.status, 200, "{}", r.body);
+        let health = crate::json::parse(&r.body).unwrap();
+        assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(health.get("datasets").and_then(Json::as_u64), Some(1));
+        assert_eq!(global(&set, "POST", "/healthz", None).status, 405);
+        assert_eq!(global(&set, "POST", "/v1/stats", None).status, 405);
+        assert_eq!(global(&set, "GET", "/nope", None).status, 404);
+
+        // One answered query, one session expired untouched.
+        let id = open(&set, r#"{"dataset":"demo","budget":0.8}"#);
+        let q = r#"{"query":"BIN demo ON COUNT(*) WHERE W = { v IN [0, 4), v IN [4, 8) } ERROR 8 CONFIDENCE 0.95;"}"#;
+        let path = format!("/v1/sessions/{id}/query");
+        let r = router::route(set.state(0), &Request::new("POST", &path, q));
+        assert_eq!(r.status, 200, "{}", r.body);
+        let idle = open(&set, r#"{"dataset":"demo","budget":0.5}"#);
+        let path = format!("/v1/admin/sessions/{idle}/expire");
+        let r = router::route(set.state(0), &Request::new("POST", &path, ""));
+        assert_eq!(r.status, 200, "{}", r.body);
+
+        // The stats body, key for key (benchmarks read `cache.global`).
+        let r = global(&set, "GET", "/v1/stats", None);
+        assert_eq!(r.status, 200, "{}", r.body);
+        let stats = crate::json::parse(&r.body).unwrap();
+        assert_eq!(
+            keys(&stats),
+            [
+                "sessions",
+                "expired",
+                "shard_count",
+                "cache",
+                "datasets",
+                "shards"
+            ]
+        );
+        let cache = stats.get("cache").unwrap();
+        assert_eq!(keys(cache), ["capacity", "entries", "global"]);
+        let misses = cache.get("global").and_then(|g| g.get("misses"));
+        assert!(misses.and_then(Json::as_u64).unwrap() > 0);
+        assert_eq!(stats.get("sessions").and_then(Json::as_u64), Some(1));
+        assert_eq!(stats.get("expired").and_then(Json::as_u64), Some(1));
+        let demo = stats.get("datasets").and_then(|d| d.get("demo")).unwrap();
+        assert_eq!(
+            keys(demo),
+            [
+                "cache",
+                "store",
+                "budget",
+                "transcript",
+                "sessions",
+                "epoch",
+                "mutations_applied"
+            ]
+        );
+        let budget = demo.get("budget").unwrap();
+        assert_eq!(keys(budget), ["budget", "spent", "remaining", "reclaimed"]);
+        let spent = budget.get("spent").and_then(Json::as_f64).unwrap();
+        assert!(spent > 0.0 && (spent - set.spent("demo")).abs() < 1e-12);
+        let reclaimed = budget.get("reclaimed").and_then(Json::as_f64).unwrap();
+        assert!(
+            (reclaimed - 0.5).abs() < 1e-12,
+            "the idle slice comes back whole"
+        );
+
+        // The admin list shows the one live session.
+        let r = global(&set, "GET", "/v1/admin/sessions", None);
+        assert_eq!(r.status, 200, "{}", r.body);
+        let listed = crate::json::parse(&r.body).unwrap();
+        let listed = listed.get("sessions").and_then(Json::as_arr).unwrap();
+        assert_eq!(listed.len(), 1);
+        assert_eq!(listed[0].get("session").and_then(Json::as_u64), Some(id));
+    }
+
+    #[test]
+    fn cross_shard_admin_plane_requires_the_bearer_token() {
+        let set = one_shard(Some("s3cret"));
+        let id = open(&set, r#"{"dataset":"demo","budget":0.5}"#);
+        for (method, path) in [
+            ("GET", "/v1/admin/sessions"),
+            ("POST", "/v1/admin/shutdown"),
+        ] {
+            assert_eq!(global(&set, method, path, None).status, 401, "{path}");
+            assert_eq!(
+                global(&set, method, path, Some("wrong")).status,
+                401,
+                "{path}"
+            );
+        }
+        // Non-admin endpoints are untouched by the token requirement.
+        assert_eq!(global(&set, "GET", "/healthz", None).status, 200);
+        assert_eq!(global(&set, "GET", "/v1/stats", None).status, 200);
+
+        let r = global(&set, "GET", "/v1/admin/sessions", Some("s3cret"));
+        assert_eq!(r.status, 200, "{}", r.body);
+        let listed = crate::json::parse(&r.body).unwrap();
+        let listed = listed.get("sessions").and_then(Json::as_arr).unwrap();
+        assert_eq!(listed[0].get("session").and_then(Json::as_u64), Some(id));
+        let r = global(&set, "POST", "/v1/admin/shutdown", Some("s3cret"));
+        assert_eq!(r.status, 202);
+        assert!(r.shutdown);
+    }
+
+    #[test]
+    fn shutdown_endpoint_flags_the_response() {
+        let set = one_shard(None);
+        let r = global(&set, "POST", "/v1/admin/shutdown", None);
+        assert_eq!(r.status, 202);
+        assert!(r.shutdown);
+        assert_eq!(global(&set, "GET", "/v1/admin/shutdown", None).status, 405);
+    }
+
+    #[test]
+    fn stop_is_graceful_and_idempotent() {
+        let handle = serve_sharded("127.0.0.1:0", one_shard(None), ServeConfig::default()).unwrap();
+        let (status, _) = client::request(handle.addr(), "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200);
+        handle.stop();
+        handle.stop();
+        handle.join();
+    }
+
+    #[test]
+    fn wildcard_bind_still_shuts_down() {
+        let handle = serve_sharded("0.0.0.0:0", one_shard(None), ServeConfig::default()).unwrap();
+        let loopback = SocketAddr::from(([127, 0, 0, 1], handle.addr().port()));
+        let (status, _) = client::request(loopback, "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200);
+        handle.stop();
+        handle.join();
+    }
+
+    /// Every character of `name` as a JSON `\uXXXX` escape: the same
+    /// string to a JSON decoder, different bytes to a substring scan.
+    fn json_escaped(name: &str) -> String {
+        name.chars()
+            .map(|c| format!("\\u{:04x}", c as u32))
+            .collect()
+    }
+
+    #[test]
+    fn session_opens_route_to_the_owner_of_the_decoded_dataset() {
+        const B: f64 = 10.0; // demo_set's per-tenant budget
+        let ring = ShardRing::new(2);
+        let names = || (0..).map(|i| format!("tenant-{i}"));
+        // `t` lives on shard 1 and its escaped spelling hashes elsewhere,
+        // so any routing that reads different bytes than the router
+        // misplaces the session.
+        let t = names()
+            .find(|n| ring.shard_for(n) == 1 && ring.shard_for(&json_escaped(n)) != 1)
+            .unwrap();
+        let other = names().find(|n| ring.shard_for(n) == 0).unwrap();
+        let set = demo_set(2, &[t.clone(), other.clone()]);
+        let handle = serve_sharded("127.0.0.1:0", set.clone(), ServeConfig::default()).unwrap();
+        let addr = handle.addr();
+
+        let escaped = json_escaped(&t);
+        let bodies = [
+            format!(r#"{{"dataset":"{t}","budget":{B}}}"#),
+            format!(r#"{{"\u0064ataset":"{t}","budget":{B}}}"#),
+            format!(r#"{{"dataset":"{escaped}","budget":{B}}}"#),
+            format!(r#"{{"note":"dataset","x":"{other}","dataset":"{t}","budget":{B}}}"#),
+        ];
+        let mut ids = Vec::new();
+        for body in &bodies {
+            let (status, created) =
+                client::request(addr, "POST", "/v1/sessions", Some(body)).unwrap();
+            assert_eq!(status, 201, "{body}: {created:?}");
+            let id = created.get("session").and_then(Json::as_u64).unwrap();
+            assert_eq!(session_shard(id), ring.shard_for(&t), "{body} misrouted");
+            ids.push(id);
+        }
+
+        // Drain every session: all of them charge one engine, so the
+        // tenant's spend stays within B.
+        let q = r#"{"query":"BIN t ON COUNT(*) WHERE W = { v IN [0, 4), v IN [4, 8) } ERROR 4 CONFIDENCE 0.95;"}"#;
+        for id in &ids {
+            let path = format!("/v1/sessions/{id}/query");
+            for _ in 0..200 {
+                let (status, resp) = client::request(addr, "POST", &path, Some(q)).unwrap();
+                match status {
+                    200 => {}
+                    409 => break,
+                    other => panic!("{other}: {resp:?}"),
+                }
+            }
+        }
+        let spent = set.spent(&t);
+        assert!(spent > 0.0 && spent <= B + 1e-9, "{t} spent {spent} of {B}");
+
+        // Bodies the router would reject are answered without a shard.
+        for (body, want) in [
+            ("{", 400),
+            (r#"{"dataset":7,"budget":1}"#, 400),
+            (r#"{"dataset":"ghost","budget":1}"#, 404),
+        ] {
+            let (status, _) = client::request(addr, "POST", "/v1/sessions", Some(body)).unwrap();
+            assert_eq!(status, want, "{body}");
+        }
+        let (status, _) = client::request(addr, "GET", "/v1/sessions", None).unwrap();
+        assert_eq!(status, 405);
         handle.stop();
         handle.join();
     }

@@ -8,29 +8,30 @@
 
 use std::sync::Arc;
 
-use apex_core::{EngineConfig, Mode};
+use apex_core::{EngineConfig, Mode, TranslatorCache};
 use apex_data::synth::{adult_dataset, nytaxi_dataset};
-use apex_serve::{client, router, Json, ServerState};
+use apex_serve::{client, serve_sharded, Json, ServeConfig, ServerState, ShardSet};
 
 fn main() {
     // One shared translator cache (cap 64) behind two tenant datasets,
-    // each with its own privacy budget B.
+    // each with its own privacy budget B, served by one shard — the
+    // default deployment.
     let config = |seed: u64| EngineConfig {
         budget: 1.0,
         mode: Mode::Optimistic,
         seed,
     };
-    let state = Arc::new(
-        ServerState::builder(64)
+    let cache = TranslatorCache::with_capacity(64);
+    let set = Arc::new(ShardSet::build(1, |_| {
+        ServerState::builder_with_cache(cache.clone())
             .dataset("adult", adult_dataset(5_000, 7), config(1))
             .dataset("taxi", nytaxi_dataset(5_000, 9), config(2))
-            .build(),
-    );
-    let handler_state = state.clone();
-    let handle = apex_serve::serve("127.0.0.1:0", 4, move |req| {
-        router::route(&handler_state, req)
-    })
-    .expect("bind ephemeral port");
+    }));
+    let cfg = ServeConfig {
+        workers_per_shard: 4,
+        ..ServeConfig::default()
+    };
+    let handle = serve_sharded("127.0.0.1:0", set, cfg).expect("bind ephemeral port");
     let addr = handle.addr();
     println!("serving on http://{addr}\n");
 
